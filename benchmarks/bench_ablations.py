@@ -1,4 +1,4 @@
-"""Ablation benchmarks beyond the paper's tables (DESIGN.md §3):
+"""Ablation benchmarks beyond the paper's tables (the ``ablation-*`` experiments):
 
 - routing metric (common-digits vs prefix vs suffix — the Section 4.2
   distinguishability claim);

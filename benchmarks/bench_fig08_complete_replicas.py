@@ -1,6 +1,6 @@
 """Benchmark regenerating Figure 8: expected replicas on complete
 topologies.  The base-4 series is the one matching the paper's 1.55-1.63
-plot (see EXPERIMENTS.md)."""
+plot."""
 
 
 def test_fig8_expected_replicas_complete(run_and_print):

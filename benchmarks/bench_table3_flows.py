@@ -3,8 +3,7 @@ lookups (max_flows=10, per-flow replicas=3).
 
 Expected shape: below the budget of 10, growing with overlay size.  Note
 the reproduction's absolute flow counts sit below the paper's 8.78-9.63
-(tie statistics of the substitute topology generators differ — see
-EXPERIMENTS.md)."""
+(tie statistics of the substitute topology generators differ)."""
 
 
 def test_table3_actual_flows(run_and_print):

@@ -1,7 +1,7 @@
 """Benchmark configuration.
 
 Each benchmark regenerates one of the paper's figures or tables and prints
-the resulting rows (compare them against EXPERIMENTS.md and the paper).
+the resulting rows (compare them against the paper).
 Experiments are expensive end-to-end simulations, so every benchmark runs
 exactly once (``pedantic`` with one round) — the interesting output is the
 table and the wall-clock time, not statistical timing jitter.

@@ -21,8 +21,8 @@ Quickstart::
     lookup = net.lookup(origin=42, object_id=obj)
     assert lookup.success
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-results versus the paper.
+See docs/ARCHITECTURE.md for the system inventory and the README's
+"Experiment ↔ paper map" for which experiment regenerates which figure.
 """
 
 from repro.core import (

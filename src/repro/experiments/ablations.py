@@ -1,4 +1,4 @@
-"""Ablation experiments beyond the paper's tables (DESIGN.md §3).
+"""Ablation experiments beyond the paper's tables (the README's experiment map).
 
 - ``ablation-metric``: the Section 4.2 claim that the common-digits metric
   distinguishes neighbors better than prefix/suffix routing over arbitrary

@@ -14,7 +14,9 @@ Two construction paths exist.  The sequence-of-neighbor-lists constructor
 normalises per node in Python — fine up to ~10^4 nodes.  :meth:`from_csr`
 takes ``(indptr, indices)`` arrays directly, validates them with vectorised
 array passes, and materialises the per-node tuples lazily; it is the
-struct-of-arrays path the 10^5-10^6-node scale rungs ride on.
+struct-of-arrays path the 10^5-10^6-node scale rungs ride on.  The
+generators reach it through :meth:`from_endpoints`, which turns a raw edge
+list (self-loops and repeats included) into sorted CSR rows.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ class OverlayGraph:
     ) -> "OverlayGraph":
         """Build an overlay directly from CSR ``(indptr, indices)`` arrays.
 
-        Rows must be sorted and duplicate-free (:meth:`from_networkx`
+        Rows must be sorted and duplicate-free (:meth:`from_endpoints`
         normalises before calling this).  Validation — range, self-loops,
         duplicates, and symmetry for undirected graphs — runs as whole-array
         passes, so constructing a 10^5-node overlay costs milliseconds
@@ -160,38 +162,72 @@ class OverlayGraph:
         return self
 
     @classmethod
+    def from_endpoints(
+        cls,
+        n: int,
+        sources: "Sequence[int] | np.ndarray",
+        targets: "Sequence[int] | np.ndarray",
+        name: str = "overlay",
+        directed: bool = False,
+    ) -> "OverlayGraph":
+        """Build a CSR overlay from parallel edge-endpoint arrays.
+
+        Each ``(sources[i], targets[i])`` pair is an edge; undirected pairs
+        add both directions.  Self-loops and repeated pairs are dropped —
+        the simplification the pairing and configuration models need — and
+        every row is sorted, so the order of the pairs does not matter.
+        """
+        import numpy as np
+
+        sources = np.asarray(sources, dtype=np.int64)
+        targets = np.asarray(targets, dtype=np.int64)
+        if sources.shape != targets.shape or sources.ndim != 1:
+            raise OverlayError("edge endpoint arrays must be 1-d and equally long")
+        if sources.size and (
+            min(int(sources.min()), int(targets.min())) < 0
+            or max(int(sources.max()), int(targets.max())) >= n
+        ):
+            raise OverlayError(f"edge endpoint out of range for n={n}")
+        loop = sources == targets
+        if loop.any():
+            sources, targets = sources[~loop], targets[~loop]
+        if not directed:
+            sources, targets = (
+                np.concatenate((sources, targets)),
+                np.concatenate((targets, sources)),
+            )
+        # one key per directed edge: sorting the keys sorts by owner, then
+        # neighbor, and repeats become adjacent
+        keys = sources * n + targets
+        keys.sort()
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        owners, indices = np.divmod(keys, n)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
+        # rows are sorted, loop-free, duplicate-free and (undirected)
+        # symmetric by construction, so from_csr's checks would find nothing
+        return cls.from_csr(
+            indptr, indices, name=name, directed=directed, validate=False
+        )
+
+    @classmethod
     def from_networkx(cls, graph, name: str = "overlay") -> "OverlayGraph":
-        """Convert a networkx graph whose nodes are 0..n-1."""
+        """Convert a networkx graph whose nodes are 0..n-1 (self-loops and
+        parallel edges are dropped)."""
         import numpy as np
 
         n = graph.number_of_nodes()
-        nodes = set(graph.nodes)
-        if nodes != set(range(n)):
+        if set(graph.nodes) != set(range(n)):
             raise OverlayError("networkx graph nodes must be exactly 0..n-1")
-        adj = graph.adj
-        degrees = np.fromiter(
-            (len(adj[u]) for u in range(n)), dtype=np.int64, count=n
+        m = graph.number_of_edges()
+        flat = np.fromiter(
+            (node for edge in graph.edges() for node in edge),
+            dtype=np.int64,
+            count=2 * m,
         )
-        total = int(degrees.sum())
-        indices = np.fromiter(
-            (v for u in range(n) for v in adj[u]), dtype=np.int64, count=total
-        )
-        owners = np.repeat(np.arange(n, dtype=np.int64), degrees)
-        order = np.lexsort((indices, owners))
-        indices = indices[order]
-        owners = owners[order]
-        # drop duplicate stubs (multigraphs); self-loops are rejected below
-        if total:
-            keep = np.empty(total, dtype=bool)
-            keep[0] = True
-            keep[1:] = (owners[1:] != owners[:-1]) | (indices[1:] != indices[:-1])
-            if not keep.all():
-                indices = indices[keep]
-                owners = owners[keep]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owners, minlength=n), out=indptr[1:])
-        return cls.from_csr(
-            indptr, indices, name=name, directed=graph.is_directed()
+        return cls.from_endpoints(
+            n, flat[0::2], flat[1::2], name=name, directed=graph.is_directed()
         )
 
     def renamed(self, name: str) -> "OverlayGraph":
@@ -337,7 +373,9 @@ class OverlayGraph:
             ends = indptr[frontier + 1]
             gathered = [indices[s:e] for s, e in zip(starts.tolist(), ends.tolist())]
             neighbors = np.concatenate(gathered) if gathered else indices[:0]
-            fresh = np.unique(neighbors[~visited[neighbors]])
+            reached_now = np.zeros(self.n, dtype=bool)
+            reached_now[neighbors[~visited[neighbors]]] = True
+            fresh = np.flatnonzero(reached_now)
             visited[fresh] = True
             reached += fresh.shape[0]
             frontier = fresh

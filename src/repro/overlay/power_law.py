@@ -15,17 +15,18 @@ models AS-level Internet topologies with a power-law degree distribution
    whose degree fell below the minimum during simplification.
 
 The properties MPIL's behaviour depends on — many low-degree nodes, a
-heavy tail, a dense core — are preserved (see DESIGN.md §2).
+heavy tail, a dense core — are preserved.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 from repro.errors import OverlayError
 from repro.overlay.graph import OverlayGraph
 from repro.overlay.random_graphs import connect_components
-from repro.sim.rng import derive_rng, derive_seed
+from repro.sim.rng import derive_rng, derive_rng_32bit
 
 
 def sample_power_law_degrees(
@@ -73,6 +74,21 @@ def sample_power_law_degrees(
     return degrees
 
 
+def _configuration_pairs(
+    degrees: list[int], rng: random.Random
+) -> tuple[list[int], list[int]]:
+    """Endpoint lists of a configuration-model multigraph.
+
+    A port of networkx's ``configuration_model`` pairing: one shuffle of
+    the stub list (node ``u`` repeated ``degrees[u]`` times), then edge
+    ``i`` joins stub ``i`` of the first half to stub ``i`` of the second.
+    """
+    stubs = [node for node, degree in enumerate(degrees) for _ in range(degree)]
+    half = len(stubs) // 2
+    rng.shuffle(stubs)
+    return stubs[:half], stubs[half:]
+
+
 def power_law_graph(
     n: int,
     exponent: float = 2.2,
@@ -86,19 +102,18 @@ def power_law_graph(
     which keeps the hub sizes in the same regime as Inet's AS graphs
     without letting a single node dominate small test topologies.
     """
-    import networkx as nx
-
     if n < 4:
         raise OverlayError(f"power-law graph needs at least 4 nodes, got {n}")
     if max_degree is None:
         max_degree = max(min_degree + 1, round(n ** 0.75))
     max_degree = min(max_degree, n - 1)
     degrees = sample_power_law_degrees(n, exponent, min_degree, max_degree, seed)
-    nx_seed = derive_seed(seed, "power-law-config", n) % (2**32)
-    multigraph = nx.configuration_model(degrees, seed=nx_seed)
-    graph = nx.Graph(multigraph)  # drop parallel edges
-    graph.remove_edges_from(nx.selfloop_edges(graph))
-    overlay = OverlayGraph.from_networkx(graph, name=f"power-law-{exponent}")
+    rng = derive_rng_32bit(seed, "power-law-config", n)
+    sources, targets = _configuration_pairs(degrees, rng)
+    # from_endpoints simplifies: parallel edges and self-loops are dropped
+    overlay = OverlayGraph.from_endpoints(
+        n, sources, targets, name=f"power-law-{exponent}"
+    )
     overlay = connect_components(overlay, seed=seed)
     overlay = _patch_min_degree(overlay, min_degree, seed)
     return overlay.renamed(f"power-law-{exponent}")
@@ -109,9 +124,11 @@ def _patch_min_degree(
 ) -> OverlayGraph:
     """Add random edges so no node falls below ``min_degree`` (the paper
     uses 0% degree-1 nodes, i.e. minimum degree 2)."""
+    deficient = [u for u, degree in enumerate(overlay.degrees) if degree < min_degree]
+    if not deficient:
+        return overlay
     rng = derive_rng(seed, "power-law-patch", overlay.n)
     adjacency = [set(overlay.neighbors(u)) for u in range(overlay.n)]
-    deficient = [u for u in range(overlay.n) if len(adjacency[u]) < min_degree]
     for u in deficient:
         while len(adjacency[u]) < min_degree:
             v = rng.randrange(overlay.n)

@@ -67,3 +67,15 @@ def derive_seed(seed: object, *labels: object) -> int:
 def derive_rng(seed: object, *labels: object) -> random.Random:
     """Return a ``random.Random`` seeded from ``derive_seed(seed, *labels)``."""
     return random.Random(derive_seed(seed, *labels))
+
+
+def derive_rng_32bit(seed: object, *labels: object) -> random.Random:
+    """Return ``random.Random(derive_seed(seed, *labels) % 2**32)``.
+
+    The overlay generators used to hand this 32-bit seed to networkx, which
+    seeds ``random.Random`` with it as is.  Their ports (pairing,
+    configuration and G(n, p) models) construct exactly that stream, so
+    every generated graph stays byte-identical to the networkx original.
+    Everything else uses :func:`derive_rng`.
+    """
+    return random.Random(derive_seed(seed, *labels) % (2**32))

@@ -89,6 +89,8 @@ class TestGenerators:
             random_regular_graph(7, 3, seed=0)
         with pytest.raises(OverlayError):
             random_regular_graph(5, 5, seed=0)
+        with pytest.raises(OverlayError):
+            random_regular_graph(6, -2, seed=0)
 
     def test_fixed_degree_random_is_regular(self):
         g = fixed_degree_random_graph(30, degree=4, seed=2)
