@@ -52,8 +52,14 @@ class MPILConfig:
         Routing metric name: ``"common-digits"`` (MPIL), ``"prefix"`` or
         ``"suffix"`` (Section 4.2 ablations).
     max_hops:
-        Optional safety valve for timed simulations; ``None`` disables it.
-        Static propagation terminates without it because routes only grow.
+        Hop limit of the timed driver (:class:`~repro.core.timed.TimedMPILNetwork`,
+        which MPIL-on-Pastry and the service drivers run): a copy that
+        reaches a node without a replica at hop ``max_hops`` or later is
+        dropped.  ``None`` (default) means four times the identifier's
+        digit count (:func:`~repro.core.step.timed_hop_limit`).  The
+        synchronous driver (:class:`~repro.core.network.MPILNetwork`)
+        ignores the field: static propagation ends because routes only
+        grow.
     """
 
     max_flows: int = 10

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -301,15 +301,3 @@ class Identifier:
     def __le__(self, other: "Identifier") -> bool:
         self._require_same_space(other)
         return self._value <= other._value
-
-
-def make_node_identifiers(
-    count: int, space: IdSpace, rng: random.Random
-) -> list[Identifier]:
-    """Draw distinct identifiers for ``count`` overlay nodes."""
-    return space.random_unique_identifiers(count, rng)
-
-
-def identifiers_from_values(values: Iterable[int], space: IdSpace) -> list[Identifier]:
-    """Wrap raw integer values as identifiers in ``space``."""
-    return [space.identifier(v) for v in values]

@@ -10,12 +10,15 @@ Each copy represents one flow segment and carries:
 - ``max_flows`` — the residual flow budget for this copy;
 - ``replicas_left`` — per-flow replicas still to store (insertion) or local
   maxima still allowed before the flow stops (lookup);
-- ``given_flows`` — 0 only for the copy being processed at the originator.
+- ``given_flows`` — 0 only for the copy being processed at the originator;
+- ``span`` — the id of the span that sent this copy, when the run records
+  spans (trace context only: the protocol never reads it).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 from repro.core.identifiers import Identifier
 
@@ -38,6 +41,7 @@ class MPILMessage:
     replicas_left: int
     hop: int = 0
     given_flows: int = 0
+    span: Optional[int] = dataclasses.field(default=None, compare=False)
 
     def child(self, next_node: int, budget: int) -> "MPILMessage":
         """The copy forwarded from ``self.at`` to ``next_node``."""

@@ -13,6 +13,10 @@ The driver owns:
 - the vectorised :class:`~repro.core.metric.NeighborMetricTable`;
 - the global :class:`~repro.core.replicas.ReplicaDirectory`;
 - traffic/duplicate/flow accounting per request.
+
+The per-node rule itself is :class:`~repro.core.step.MPILStep`, shared
+with the timed driver; this driver only delivers copies in FIFO order and
+applies no hop limit.
 """
 
 from __future__ import annotations
@@ -26,12 +30,11 @@ from repro.core.messages import KIND_INSERT, KIND_LOOKUP, MPILMessage
 from repro.core.metric import NeighborMetricTable, metric_by_name
 from repro.core.replicas import ReplicaDirectory
 from repro.core.results import InsertResult, LookupResult
-from repro.core.routing import decide_forwarding
+from repro.core.step import REPLY, MPILStep, StepTrace
 from repro.errors import ConfigurationError, RoutingError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.engine import add_events_processed
 from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import current as current_telemetry
 from repro.util.cache import BoundedCache
 
@@ -91,13 +94,11 @@ class MPILNetwork:
         ids: Optional[Sequence[Identifier]] = None,
         config: MPILConfig = MPILConfig(),
         seed: object = 0,
-        trace: Optional[TraceRecorder] = None,
     ):
         self.overlay = overlay
         self.space = space
         self.config = config
         self.seed = seed
-        self.trace = trace
         if ids is None:
             self.ids: tuple[Identifier, ...] = _cached_node_ids(space, overlay.n, seed)
             share_table = True
@@ -161,16 +162,7 @@ class MPILNetwork:
         self._check_node(origin)
         owner = origin if owner is None else owner
         run = self._run_request(
-            kind=KIND_INSERT,
-            origin=origin,
-            object_id=object_id,
-            owner=owner,
-            max_flows=max_flows if max_flows is not None else self.config.max_flows,
-            per_flow_replicas=(
-                per_flow_replicas
-                if per_flow_replicas is not None
-                else self.config.per_flow_replicas
-            ),
+            KIND_INSERT, origin, object_id, owner, max_flows, per_flow_replicas
         )
         return InsertResult(
             object_id=object_id,
@@ -193,16 +185,7 @@ class MPILNetwork:
         """Query for ``object_id`` starting from ``origin``."""
         self._check_node(origin)
         run = self._run_request(
-            kind=KIND_LOOKUP,
-            origin=origin,
-            object_id=object_id,
-            owner=origin,
-            max_flows=max_flows if max_flows is not None else self.config.max_flows,
-            per_flow_replicas=(
-                per_flow_replicas
-                if per_flow_replicas is not None
-                else self.config.per_flow_replicas
-            ),
+            KIND_LOOKUP, origin, object_id, origin, max_flows, per_flow_replicas
         )
         replies = tuple(run["replies"])
         return LookupResult(
@@ -238,53 +221,28 @@ class MPILNetwork:
         origin: int,
         object_id: Identifier,
         owner: int,
-        max_flows: int,
-        per_flow_replicas: int,
+        max_flows: Optional[int],
+        per_flow_replicas: Optional[int],
     ) -> dict:
         """Propagate one request to quiescence and return its accounting."""
         request_id = self._next_request_id
         self._next_request_id += 1
         rng = derive_rng(self.seed, "request", request_id)
-        cfg = self.config
+        step = MPILStep(self, kind, request_id, object_id, owner, rng, max_hops=None)
 
         telemetry = current_telemetry()
         spans = telemetry.spans  # None unless the run opted into tracing
+        trace = None
+        if spans is not None:
+            trace = StepTrace(spans, kind, origin, 0.0, request_id, object_id)
 
         queue: collections.deque[MPILMessage] = collections.deque()
         queue.append(
-            MPILMessage(
-                kind=kind,
-                request_id=request_id,
-                object_id=object_id,
-                origin=origin,
-                owner=owner,
-                at=origin,
-                route=(),
-                max_flows=max_flows,
-                replicas_left=per_flow_replicas,
-                hop=0,
-                given_flows=0,
+            step.launch(
+                origin, max_flows, per_flow_replicas, None if trace is None else trace.root
             )
         )
-        # span ids of the "send" spans that delivered each queued message,
-        # kept in lockstep with ``queue`` (only when tracing is on)
-        parents: collections.deque[Optional[int]] = collections.deque()
-        trace_id = ""
-        if spans is not None:
-            trace_id = spans.begin_trace(kind)
-            parents.append(
-                spans.emit(
-                    trace_id,
-                    kind,
-                    node=origin,
-                    start=0.0,
-                    request=request_id,
-                    object=str(object_id),
-                )
-            )
-
-        processed: set[int] = set()
-        received: set[int] = set()
+        advance = step.step
         stored: list[int] = []
         replies: list[tuple[int, int]] = []
         traffic = 0
@@ -293,122 +251,30 @@ class MPILNetwork:
         flows = 0
         max_hop = 0
         events = 0
-        metric_table = self.metric_table
-        scores_with_self = metric_table.scores_with_self
-        neighbor_list = metric_table.neighbor_list
-        directory = self.directory
-        is_lookup = kind == KIND_LOOKUP
-        suppress = cfg.duplicate_suppression
 
+        # FIFO delivery: every copy sent at hop h is handled before any
+        # copy sent at hop h + 1, so hop number is time
         while queue:
             msg = queue.popleft()
-            node = msg.at
             events += 1
             if msg.hop > max_hop:
                 max_hop = msg.hop
-            parent_id = parents.popleft() if spans is not None else None
-
-            if node in received:
+            outcome = advance(msg)
+            if trace is not None:
+                trace.record(msg, outcome, float(msg.hop), 1.0)
+            if outcome.duplicate:
                 duplicates += 1
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
-                        "dup-drop" if suppress else "dup",
-                        node=node,
-                        start=float(msg.hop),
-                        parent_id=parent_id,
-                        request=request_id,
-                    )
-                if suppress:
-                    continue
-            received.add(node)
-            if suppress and node in processed:
-                continue
-            processed.add(node)
-
-            if is_lookup and directory.has(node, object_id):
-                # "each recipient node checks to see it has the object; if it
-                # does, it stops forwarding the query and replies back
-                # directly to the querying node."
-                replies.append((node, msg.hop))
+            if outcome.terminal is REPLY:
+                replies.append((msg.at, msg.hop))
                 if traffic_at_first_reply is None:
                     traffic_at_first_reply = traffic
-                if self.trace is not None:
-                    self.trace.emit(msg.hop, "reply", node, request=request_id)
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
-                        "reply",
-                        node=node,
-                        start=float(msg.hop),
-                        parent_id=parent_id,
-                        request=request_id,
-                        hop=msg.hop,
-                    )
-                continue
-
-            scores = scores_with_self(node, object_id)
-            excluded = set(msg.route)
-            excluded.add(node)
-            decision = decide_forwarding(
-                self_score=scores[0],
-                neighbor_ids=neighbor_list(node),
-                neighbor_scores=scores[1:],
-                excluded=excluded,
-                max_flows=msg.max_flows,
-                given_flows=msg.given_flows,
-                rng=rng,
-                tie_break=cfg.tie_break,
-                local_max_rule=cfg.local_max_rule,
-            )
-
-            replicas_left = msg.replicas_left
-            if decision.is_local_max:
-                if not is_lookup:
-                    directory.store(node, object_id, owner, hop=msg.hop)
-                    if node not in stored:
-                        stored.append(node)
-                    if self.trace is not None:
-                        self.trace.emit(msg.hop, "store", node, request=request_id)
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "store",
-                            node=node,
-                            start=float(msg.hop),
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                replicas_left -= 1
-                if replicas_left <= 0:
-                    continue
-
-            if not decision.next_hops:
-                continue
-
-            flows += decision.new_flows
-            for next_node, budget in zip(decision.next_hops, decision.budgets):
-                traffic += 1
-                child = msg.child(next_node, budget)
-                child.replicas_left = replicas_left
-                queue.append(child)
-                if self.trace is not None:
-                    self.trace.emit(
-                        msg.hop, "send", node, to=next_node, request=request_id
-                    )
-                if spans is not None:
-                    parents.append(
-                        spans.emit(
-                            trace_id,
-                            "send",
-                            node=node,
-                            start=float(msg.hop),
-                            end=float(msg.hop + 1),
-                            parent_id=parent_id,
-                            to=next_node,
-                            request=request_id,
-                        )
-                    )
+            elif outcome.stored and msg.at not in stored:
+                stored.append(msg.at)
+            children = outcome.children
+            if children:
+                flows += outcome.new_flows
+                traffic += len(children)
+                queue.extend(children)
 
         add_events_processed(events)
         metrics = telemetry.metrics
@@ -417,7 +283,7 @@ class MPILNetwork:
             metrics.inc("mpil_messages_total", traffic, kind=kind)
         if duplicates:
             metrics.inc("mpil_duplicates_total", duplicates, kind=kind)
-        if is_lookup:
+        if kind == KIND_LOOKUP:
             if replies:
                 metrics.inc("mpil_replies_total", len(replies))
         elif stored:

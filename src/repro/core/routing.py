@@ -10,25 +10,28 @@ ID, :func:`decide_forwarding` determines:
   unvisited neighbors, capped by the flow budget);
 - the flow budget each child copy carries.
 
-Keeping this a pure function of explicit inputs lets both the synchronous
-static driver and the event-driven timed driver share one implementation,
-and makes property testing straightforward.
+Keeping this a pure function of explicit inputs makes property testing
+straightforward; its one caller is :class:`repro.core.step.MPILStep`, the
+per-node rule both MPIL drivers run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import AbstractSet, Optional, Sequence
+from typing import AbstractSet, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.core.flows import allowed_fanout, flows_consumed, split_flow_budget
 
 
-@dataclasses.dataclass(frozen=True)
-class ForwardDecision:
-    """Outcome of one node's handling of one message copy."""
+class ForwardDecision(NamedTuple):
+    """Outcome of one node's handling of one message copy.
+
+    A named tuple rather than a frozen dataclass: one is built per
+    forwarding decision, and a frozen dataclass costs about twice as much
+    to construct.
+    """
 
     is_local_max: bool
     next_hops: tuple[int, ...]
@@ -139,22 +142,3 @@ def decide_forwarding(
         best_candidate_score=best_candidate_score,
         new_flows=flows_consumed(given_flows, fanout),
     )
-
-
-def scores_for_node(
-    table, node: int, target
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Convenience: (neighbor_ids, neighbor_scores, self_score) for a node."""
-    return (
-        table.neighbor_array(node),
-        table.scores(node, target),
-        table.self_score(node, target),
-    )
-
-
-def best_neighbor_scores(
-    neighbor_scores: Sequence[int],
-) -> Optional[int]:
-    """Maximum of a (possibly empty) score sequence."""
-    values = list(neighbor_scores)
-    return max(values) if values else None

@@ -108,14 +108,6 @@ class NodeArrays:
         self.alive[:] = mask
         return self.alive
 
-    def set_alive(self, mask: np.ndarray) -> None:
-        """Overwrite the liveness bitmap (length-``n`` boolean array)."""
-        if mask.shape != (self.n,):
-            raise RoutingError(
-                f"liveness mask has shape {mask.shape}, expected ({self.n},)"
-            )
-        self.alive[:] = mask
-
     def online_count(self) -> int:
         return int(self.alive.sum())
 

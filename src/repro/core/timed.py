@@ -12,7 +12,16 @@ with the duplicate suppression" under perturbation.
 Insertions for the perturbation experiments happen in stage 1 on the static
 overlay ("1000 insertion requests are generated to the static overlay"), so
 this driver reuses the synchronous :class:`~repro.core.network.MPILNetwork`
-logic for inserts and adds a timed ``lookup_at``.
+for inserts and adds timed lookups.
+
+The per-node rule is :class:`~repro.core.step.MPILStep`, the same one the
+synchronous driver runs.  This driver adds only what time brings: it
+posts each copy on an :class:`~repro.sim.engine.EventScheduler` after a
+latency draw, loses copies that arrive at an offline node
+(``lost-offline``) before the step sees them, applies the hop limit of
+:func:`~repro.core.step.timed_hop_limit`, sends replies back to the
+origin as timed messages, and completes the request once no copy is in
+flight.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from repro.core.config import MPILConfig
 from repro.core.identifiers import Identifier, IdSpace
 from repro.core.messages import KIND_LOOKUP, MPILMessage
 from repro.core.network import MPILNetwork
-from repro.core.routing import decide_forwarding
+from repro.core.step import HOP_LIMIT, REPLY, MPILStep, StepTrace, timed_hop_limit
 from repro.errors import RoutingError
 from repro.overlay.graph import OverlayGraph
 from repro.sim.availability import AlwaysOnline, AvailabilityModel
@@ -142,7 +151,6 @@ class TimedMPILNetwork:
         )
         self.availability = availability
         self.latency = latency
-        self.config = config
         self.seed = seed
         self._request_counter = 0
 
@@ -160,6 +168,10 @@ class TimedMPILNetwork:
         self._request_counter = int(value)
 
     # Convenience passthroughs ------------------------------------------------
+
+    @property
+    def config(self) -> MPILConfig:
+        return self.static.config
 
     @property
     def overlay(self) -> OverlayGraph:
@@ -208,49 +220,30 @@ class TimedMPILNetwork:
         n = self.overlay.n
         if not 0 <= origin < n:
             raise RoutingError(f"origin {origin} out of range (n={n})")
-        cfg = self.config
-        suppress = (
-            cfg.duplicate_suppression
-            if duplicate_suppression is None
-            else duplicate_suppression
-        )
-        flows = max_flows if max_flows is not None else cfg.max_flows
-        replicas = (
-            per_flow_replicas if per_flow_replicas is not None else cfg.per_flow_replicas
-        )
         launch_time = engine.now if start_time is None else float(start_time)
         request_id = self._request_counter
         self._request_counter += 1
-        rng = derive_rng(self.seed, "timed-request", request_id)
+        step = MPILStep(
+            self.static,
+            KIND_LOOKUP,
+            request_id,
+            object_id,
+            origin,
+            derive_rng(self.seed, "timed-request", request_id),
+            max_hops=timed_hop_limit(self.config, self.static.space),
+            suppress=duplicate_suppression,
+        )
+        advance = step.step
         pending = PendingLookup(object_id, origin, launch_time)
         counters = pending.counters
-        processed: set[int] = set()
-        received: set[int] = set()
-        metric_table = self.static.metric_table
-        directory = self.static.directory
-        max_hops = cfg.max_hops if cfg.max_hops is not None else 4 * len(
-            self.ids[0].digits
-        )
 
         telemetry = current_telemetry()
         spans = telemetry.spans  # None unless the run opted into tracing
         metrics = telemetry.metrics
-        # span id of the "send" that will deliver each in-flight message,
-        # keyed by message identity (the scheduler keeps the message alive
-        # until ``process`` pops the entry); never iterated, so id() keys
-        # cannot perturb ordering
-        span_parent: dict[int, int] = {}
-        trace_id = ""
-        root_sid: Optional[int] = None
+        trace = None
         if spans is not None:
-            trace_id = spans.begin_trace("timed-lookup")
-            root_sid = spans.emit(
-                trace_id,
-                "timed-lookup",
-                node=origin,
-                start=launch_time,
-                request=request_id,
-                object=str(object_id),
+            trace = StepTrace(
+                spans, "timed-lookup", origin, launch_time, request_id, object_id
             )
 
         def finish_event() -> None:
@@ -267,25 +260,19 @@ class TimedMPILNetwork:
                     metrics.inc("timed_lost_offline_total", counters.lost_offline)
                 if counters.duplicates:
                     metrics.inc("timed_duplicates_total", counters.duplicates)
-                if spans is not None:
-                    spans.emit(
-                        trace_id,
+                if trace is not None:
+                    trace.spans.emit(
+                        trace.trace_id,
                         "complete",
                         node=origin,
                         start=launch_time,
                         end=engine.now,
-                        parent_id=root_sid,
+                        parent_id=trace.root,
                         success=pending.success,
                         messages=counters.messages_sent,
                     )
                 if on_complete is not None:
                     on_complete(pending)
-
-        def deliver_reply(holder: int, hop: int) -> None:
-            arrival = engine.now + self.latency.latency(holder, origin)
-            counters.replies_sent += 1
-            pending.outstanding += 1
-            engine.post(arrival, on_reply, holder, hop)
 
         def on_reply(holder: int, hop: int) -> None:
             counters.replies_received += 1
@@ -295,125 +282,38 @@ class TimedMPILNetwork:
                 pending.first_reply_hop = hop
             finish_event()
 
-        def send(msg: MPILMessage, sender: int) -> None:
-            counters.messages_sent += 1
-            arrival = engine.now + self.latency.latency(sender, msg.at)
-            pending.outstanding += 1
-            engine.post(arrival, process, msg)
-
         def process(msg: MPILMessage) -> None:
-            parent_id = span_parent.pop(id(msg), root_sid) if spans is not None else None
-            try:
-                node = msg.at
-                if not self.availability.is_online(node, engine.now):
-                    counters.lost_offline += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "lost-offline",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                    return
-                if node in received:
-                    counters.duplicates += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "dup-drop" if suppress else "dup",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                        )
-                    if suppress:
-                        return
-                received.add(node)
-                if suppress and node in processed:
-                    return
-                processed.add(node)
-
-                if directory.has(node, object_id):
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "reply",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                            hop=msg.hop,
-                        )
-                    deliver_reply(node, msg.hop)
-                    return
-                if msg.hop >= max_hops:
-                    counters.drops_hop_limit += 1
-                    if spans is not None:
-                        spans.emit(
-                            trace_id,
-                            "drop",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            request=request_id,
-                            reason="hop-limit",
-                        )
-                    return
-
-                scores = metric_table.scores_with_self(node, object_id)
-                excluded = set(msg.route)
-                excluded.add(node)
-                decision = decide_forwarding(
-                    self_score=scores[0],
-                    neighbor_ids=metric_table.neighbor_list(node),
-                    neighbor_scores=scores[1:],
-                    excluded=excluded,
-                    max_flows=msg.max_flows,
-                    given_flows=msg.given_flows,
-                    rng=rng,
-                    tie_break=cfg.tie_break,
-                    local_max_rule=cfg.local_max_rule,
-                )
-                replicas_left = msg.replicas_left
-                if decision.is_local_max:
-                    replicas_left -= 1
-                    if replicas_left <= 0:
-                        return
-                for next_node, budget in zip(decision.next_hops, decision.budgets):
-                    child = msg.child(next_node, budget)
-                    child.replicas_left = replicas_left
-                    if spans is not None:
-                        span_parent[id(child)] = spans.emit(
-                            trace_id,
-                            "send",
-                            node=node,
-                            start=engine.now,
-                            parent_id=parent_id,
-                            to=next_node,
-                            request=request_id,
-                        )
-                    send(child, node)
-            finally:
+            node = msg.at
+            now = engine.now
+            if not self.availability.is_online(node, now):
+                counters.lost_offline += 1
+                if trace is not None:
+                    trace.emit("lost-offline", node, now, msg.span)
                 finish_event()
+                return
+            outcome = advance(msg)
+            if trace is not None:
+                trace.record(msg, outcome, now, 0.0)
+            if outcome.duplicate:
+                counters.duplicates += 1
+            terminal = outcome.terminal
+            if terminal is REPLY:
+                # replies go straight back to the origin
+                counters.replies_sent += 1
+                pending.outstanding += 1
+                engine.post(now + self.latency.latency(node, origin), on_reply, node, msg.hop)
+            elif terminal is HOP_LIMIT:
+                counters.drops_hop_limit += 1
+            for child in outcome.children:
+                counters.messages_sent += 1
+                pending.outstanding += 1
+                engine.post(now + self.latency.latency(node, child.at), process, child)
+            finish_event()
 
-        initial = MPILMessage(
-            kind=KIND_LOOKUP,
-            request_id=request_id,
-            object_id=object_id,
-            origin=origin,
-            owner=origin,
-            at=origin,
-            route=(),
-            max_flows=flows,
-            replicas_left=replicas,
-            hop=0,
-            given_flows=0,
+        initial = step.launch(
+            origin, max_flows, per_flow_replicas, None if trace is None else trace.root
         )
         pending.outstanding += 1
-        if spans is not None and root_sid is not None:
-            span_parent[id(initial)] = root_sid
         engine.post(launch_time, process, initial)
         return pending
 

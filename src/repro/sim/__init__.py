@@ -7,8 +7,9 @@ the library is built on:
 - :mod:`repro.sim.engine` — a heap-based discrete-event scheduler;
 - :mod:`repro.sim.counters` — traffic/bookkeeping counters;
 - :mod:`repro.sim.latency` — message latency models;
-- :mod:`repro.sim.availability` — node availability interfaces;
-- :mod:`repro.sim.trace` — optional structured event tracing.
+- :mod:`repro.sim.availability` — node availability interfaces.
+
+Structured tracing lives in :mod:`repro.telemetry` (causal spans).
 
 The paper's first simulator ("a simulator written in Python that simulates
 overlay-level routing ... a message-level simulator, not a packet-level

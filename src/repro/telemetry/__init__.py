@@ -24,10 +24,10 @@ ambient lookup always observes the run in progress.
 
 Zero-overhead-when-disabled contract: ``current().spans`` is ``None``
 unless a caller opted into tracing, and drivers hoist it into a local
-and guard every emission with ``if spans is not None`` (the same idiom
-as the existing ``TraceRecorder`` hooks).  Metrics are always-on but
-O(1) integer bumps at request granularity, outside the per-event hot
-paths.  Determinism contract: telemetry draws no RNG and reads no wall
+and guard every emission with one ``is not None`` test (the MPIL
+drivers test their per-request :class:`~repro.core.step.StepTrace`).
+Metrics are always-on but O(1) integer bumps at request granularity,
+outside the per-event hot paths.  Determinism contract: telemetry draws no RNG and reads no wall
 clock outside the DET003 allowlist (see
 :mod:`repro.telemetry.progress`), so every experiment artifact is
 byte-identical with telemetry off *and* on.

@@ -16,7 +16,7 @@ from repro.overlay.random_graphs import (
     ring_lattice_graph,
 )
 from repro.sim.rng import derive_rng
-from repro.sim.trace import TraceRecorder
+from repro.telemetry import Telemetry, use
 
 SPACE = IdSpace(bits=32, digit_bits=4)
 
@@ -139,18 +139,18 @@ class TestAccounting:
 
     def test_traffic_matches_trace_sends(self):
         overlay = ring_lattice_graph(30, k=2)
-        trace = TraceRecorder()
         net = MPILNetwork(
             overlay,
             space=SPACE,
             config=MPILConfig(max_flows=5, per_flow_replicas=2),
             seed=8,
-            trace=trace,
         )
         rng = derive_rng(8, "objects")
-        result = net.insert(0, net.random_object_id(rng))
-        assert result.traffic == len(trace.of_kind("send"))
-        assert len(trace.of_kind("store")) == result.replica_count
+        with use(Telemetry.with_spans()) as telemetry:
+            result = net.insert(0, net.random_object_id(rng))
+        spans = telemetry.spans
+        assert result.traffic == len(spans.spans(name="send"))
+        assert len(spans.spans(name="store")) == result.replica_count
 
     def test_lookup_traffic_at_first_reply_le_total(self):
         overlay = fixed_degree_random_graph(60, degree=8, seed=9)

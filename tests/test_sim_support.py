@@ -9,7 +9,6 @@ from repro.overlay.transit_stub import TransitStubUnderlay
 from repro.sim.counters import TrafficCounters
 from repro.sim.latency import ConstantLatency, UniformRandomLatency, UnderlayLatency
 from repro.sim.rng import derive_rng, derive_seed
-from repro.sim.trace import TraceRecorder
 
 
 class TestRng:
@@ -82,27 +81,3 @@ class TestLatencyModels:
         underlay = TransitStubUnderlay.for_size(60, seed=1)
         with pytest.raises(ConfigurationError):
             UnderlayLatency(underlay, [underlay.num_nodes + 5])
-
-
-class TestTrace:
-    def test_emit_and_filter(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "send", 1, to=2)
-        trace.emit(1.0, "store", 2)
-        trace.emit(2.0, "send", 2, to=3)
-        assert len(trace) == 3
-        assert len(trace.of_kind("send")) == 2
-        assert len(trace.at_node(2)) == 2
-        assert "send" in str(trace.of_kind("send")[0])
-
-    def test_max_records_cap(self):
-        trace = TraceRecorder(max_records=2)
-        for i in range(5):
-            trace.emit(float(i), "x", i)
-        assert len(trace) == 2
-
-    def test_clear(self):
-        trace = TraceRecorder()
-        trace.emit(0.0, "x", 0)
-        trace.clear()
-        assert len(trace) == 0

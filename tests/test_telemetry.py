@@ -25,7 +25,6 @@ from repro.sim.engine import (
     events_processed_total,
     reset_events_processed,
 )
-from repro.sim.trace import TraceRecorder
 from repro.telemetry import (
     MetricsRegistry,
     SpanRecorder,
@@ -130,31 +129,6 @@ class TestEngineCounterShims:
         assert events_processed_total() == 0
 
 
-class TestTraceRecorderDrops:
-    def test_overflow_counted_not_silent(self):
-        recorder = TraceRecorder(max_records=2)
-        for i in range(5):
-            recorder.emit(float(i), "send", node=i)
-        assert len(recorder) == 2
-        assert recorder.dropped == 3
-        assert str(recorder) == "TraceRecorder(2 records, 3 dropped)"
-
-    def test_clear_resets_drop_count(self):
-        recorder = TraceRecorder(max_records=1)
-        recorder.emit(0.0, "send", node=0)
-        recorder.emit(1.0, "send", node=1)
-        recorder.clear()
-        assert recorder.dropped == 0
-        assert str(recorder) == "TraceRecorder(0 records)"
-
-    def test_unbounded_never_drops(self):
-        recorder = TraceRecorder()
-        for i in range(10):
-            recorder.emit(float(i), "send", node=i)
-        assert recorder.dropped == 0
-        assert str(recorder) == "TraceRecorder(10 records)"
-
-
 class TestSpanRecorder:
     def test_ids_allocated_even_when_dropped(self):
         recorder = SpanRecorder(max_spans=2)
@@ -164,6 +138,23 @@ class TestSpanRecorder:
         assert len(recorder) == 2
         assert recorder.dropped == 2
         assert "2 dropped" in str(recorder)
+
+    def test_clear_resets_drop_count(self):
+        recorder = SpanRecorder(max_spans=1)
+        trace = recorder.begin_trace("lookup")
+        recorder.emit(trace, "send", node=0)
+        recorder.emit(trace, "send", node=1)
+        recorder.clear()
+        assert recorder.dropped == 0
+        assert str(recorder) == "SpanRecorder(0 spans)"
+
+    def test_unbounded_never_drops(self):
+        recorder = SpanRecorder(max_spans=None)
+        trace = recorder.begin_trace("lookup")
+        for i in range(10):
+            recorder.emit(trace, "send", node=i)
+        assert recorder.dropped == 0
+        assert str(recorder) == "SpanRecorder(10 spans)"
 
     def test_trace_ids_monotonic_and_first_seen(self):
         recorder = SpanRecorder()

@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.config import MPILConfig
 from repro.core.identifiers import IdSpace
+from repro.core.network import MPILNetwork
+from repro.core.step import timed_hop_limit
 from repro.core.timed import TimedMPILNetwork
 from repro.errors import RoutingError
 from repro.overlay.random_graphs import fixed_degree_random_graph, ring_lattice_graph
@@ -48,6 +50,35 @@ class TestStaticEquivalence:
             expected = (result.first_reply_hop + 1) * 0.05
             assert result.latency == pytest.approx(expected, abs=1e-9)
             assert result.first_reply_time == pytest.approx(5.0 + expected, abs=1e-9)
+
+
+class TestHopLimit:
+    def test_default_is_four_times_the_digit_count(self):
+        assert timed_hop_limit(MPILConfig(), SPACE) == 4 * SPACE.num_digits
+        assert timed_hop_limit(MPILConfig(max_hops=3), SPACE) == 3
+
+    def test_timed_driver_drops_at_the_limit_and_sync_driver_ignores_it(self):
+        overlay = fixed_degree_random_graph(60, degree=6, seed=4)
+        timed = _timed(overlay, seed=4, max_hops=1)
+        unlimited = MPILNetwork(
+            overlay, space=SPACE, config=MPILConfig(max_flows=6, per_flow_replicas=3), seed=4
+        )
+        rng = derive_rng(4, "keys")
+        drops = 0
+        for _ in range(10):
+            key = SPACE.random_identifier(rng)
+            holder = rng.randrange(60)
+            timed.insert_static(holder, key)
+            unlimited.insert(holder, key)
+            result = timed.lookup_at(0, key, start_time=0.0)
+            counters = result.counters
+            # every copy the origin sends either replies at hop 1 or is dropped
+            replies_at_hop_1 = sum(1 for _, hop in result.replies if hop == 1)
+            assert counters.drops_hop_limit + replies_at_hop_1 == counters.messages_sent
+            assert all(hop <= 1 for _, hop in result.replies)
+            drops += counters.drops_hop_limit
+            assert timed.static.lookup(0, key) == unlimited.lookup(0, key)
+        assert drops > 0
 
 
 class TestPerturbedBehaviour:
